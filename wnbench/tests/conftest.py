@@ -1,0 +1,12 @@
+"""Make the library importable from the checkout for the helper tests.
+
+Run with ``python3 -m pytest wnbench/tests`` from the repository root.
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT, ROOT / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
